@@ -140,6 +140,19 @@ class QueryResult:
         return image_id in self.matches
 
 
+def total_stats(results: Iterable[QueryResult]) -> QueryStats:
+    """The work behind ``results``, counting each stats object once.
+
+    Batch processors hand every result of one pass the same
+    :class:`QueryStats`; summing per result would count that pass once
+    per query.
+    """
+    total = QueryStats()
+    for stats in {id(result.stats): result.stats for result in results}.values():
+        total.merge(stats)
+    return total
+
+
 class CatalogView(Protocol):
     """Read access the query processors need from the MMDBMS catalog."""
 

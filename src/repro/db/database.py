@@ -26,6 +26,8 @@ from repro.db.processors import (
     InstantiateProcessor,
     KNNResult,
     SimilaritySearch,
+    combine_results,
+    query_histogram,
 )
 from repro.db.records import BinaryImageRecord, EditedImageRecord
 from repro.db.storage import StorageReport, measure_storage
@@ -285,12 +287,7 @@ class MultimediaDatabase:
         result = processor.process(query)
         if not expand_to_bases:
             return result
-        expanded = set(result.matches)
-        for image_id in result.matches:
-            record = self.catalog.record(image_id)
-            if isinstance(record, EditedImageRecord):
-                expanded.add(record.base_id)
-        return QueryResult(frozenset(expanded), result.stats)
+        return combine_results([result], self.catalog, expand_to_bases)
 
     def range_query_color(
         self,
@@ -340,8 +337,8 @@ class MultimediaDatabase:
         """Process a conjunction of range constraints (AND semantics).
 
         Conservative composition: the per-constraint conservative result
-        sets are intersected, which preserves the no-false-negative
-        guarantee (see :class:`repro.core.query.ConjunctiveQuery`).
+        sets are intersected (:func:`repro.db.processors.combine_results`),
+        which preserves the no-false-negative guarantee.
         """
         if method in ("bwm", "rbm"):
             results = self.range_query_batch(list(query.constraints), method=method)
@@ -350,19 +347,7 @@ class MultimediaDatabase:
                 self.range_query(constraint, method=method)
                 for constraint in query.constraints
             ]
-        matches = set(results[0].matches)
-        stats = results[0].stats
-        for result in results[1:]:
-            matches &= result.matches
-        combined = QueryResult(frozenset(matches), stats)
-        if not expand_to_bases:
-            return combined
-        expanded = set(combined.matches)
-        for image_id in combined.matches:
-            record = self.catalog.record(image_id)
-            if isinstance(record, EditedImageRecord):
-                expanded.add(record.base_id)
-        return QueryResult(frozenset(expanded), stats)
+        return combine_results(results, self.catalog, expand_to_bases)
 
     def text_query(
         self,
@@ -376,13 +361,9 @@ class MultimediaDatabase:
         Conjunctions are supported: "at least 20% red and at most 10%
         blue" intersects the constraints (no false negatives preserved).
         """
-        from repro.querylang.parser import parse_conjunctive_query
+        from repro.querylang.parser import parse_range_constraints
 
-        parsed_constraints = parse_conjunctive_query(text)
-        constraints = tuple(
-            RangeQuery(self.quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
-            for p in parsed_constraints
-        )
+        constraints = parse_range_constraints(text, self.quantizer)
         if len(constraints) == 1:
             return self.range_query(
                 constraints[0], method=method, expand_to_bases=expand_to_bases
@@ -401,15 +382,10 @@ class MultimediaDatabase:
         A single-bin range query is a slab in histogram space (§3.1's
         "sections of the multidimensional data space").
         """
+        from repro.index.builders import query_slab
+
         self.quantizer.validate_bin(query.bin_index)
-        slab = MBR.slab(
-            self.quantizer.bin_count,
-            query.bin_index,
-            query.pct_min,
-            query.pct_max,
-            domain_lo=0.0,
-            domain_hi=1.0,
-        )
+        slab = query_slab(self.quantizer.bin_count, query)
         return sorted(self.histogram_index.search(slab))  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
@@ -422,13 +398,7 @@ class MultimediaDatabase:
         method: str = "bounded",
     ) -> KNNResult:
         """k nearest neighbors by L1 histogram distance."""
-        histogram = (
-            ColorHistogram.of_image(query, self.quantizer)
-            if isinstance(query, Image)
-            else query
-        )
-        if histogram.quantizer != self.quantizer:
-            raise QueryError("query histogram uses a different quantizer")
+        histogram = query_histogram(query, self.quantizer)
         strategy = {
             "binary": self._similarity.knn_binary,
             "exact": self._similarity.knn_exact,
@@ -449,14 +419,9 @@ class MultimediaDatabase:
         Edited images are instantiated only when their BOUNDS intervals
         cannot exclude them (same pruning idea as the bounded kNN).
         """
-        histogram = (
-            ColorHistogram.of_image(query, self.quantizer)
-            if isinstance(query, Image)
-            else query
+        return self._similarity.range_search(
+            query_histogram(query, self.quantizer), epsilon
         )
-        if histogram.quantizer != self.quantizer:
-            raise QueryError("query histogram uses a different quantizer")
-        return self._similarity.range_search(histogram, epsilon)
 
     # ------------------------------------------------------------------
     # Reporting

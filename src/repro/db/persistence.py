@@ -18,9 +18,14 @@ Durability protocol (format versions 2 and 3)
 :func:`save_database` never mutates the target directory in place.  The
 complete new state is written to a ``<root>.saving`` sibling first, the
 manifest (carrying a SHA-256 per content file plus a whole-manifest
-checksum) is written last inside it, and the result is committed by
-renames: ``<root>`` -> ``<root>.old``, ``<root>.saving`` -> ``<root>``,
-then the backup is pruned.  A crash at any boundary therefore leaves
+checksum) is written last inside it.  Every written file and then every
+scratch directory is fsynced, so the new state is on stable storage
+before anything points at it.  The result is committed by renames:
+``<root>`` -> ``<root>.old``, ``<root>.saving`` -> ``<root>``; the
+parent directory is fsynced so the renames are durable too, and then
+the backup is pruned.  A file that cannot be fsynced fails the save
+before the commit; a directory fsync is best effort, since some
+filesystems refuse one.  A crash at any boundary therefore leaves
 either the previous complete state, the new complete state, or a
 ``.old`` backup that :func:`load_database` rolls back automatically.
 Orphaned content files from deleted images cannot survive a save, since
@@ -74,7 +79,6 @@ from repro.db.versioning import (
     SUPPORTED_VERSIONS,
     RecordPointer,
     encode_segment,
-    ordered_pointers,
     pointers_from_v2_manifest,
     pointers_from_v3_manifest,
     read_record,
@@ -255,6 +259,7 @@ def save_database(
             _write_tree_v3(database, tmp, plan)
         else:
             _write_tree_v2(database, tmp, plan, checksums)
+        _fsync_tree(tmp, plan)
     except OSError as exc:
         # Injected or real I/O failure (ENOSPC, EIO): nothing has been
         # committed — prune the scratch tree and surface a typed error.
@@ -266,13 +271,14 @@ def save_database(
     # Commit.  Renames are atomic on POSIX; a crash between them leaves
     # the ``.old`` backup that load-time recovery rolls back.  The
     # per-root lock makes the swap atomic for in-process readers too.
+    # The parent's fsync makes the renames durable: a save that returns
+    # survives power loss (the sharded catalog truncates its WAL on it).
     try:
         with root_lock(base):
             if base.exists():
                 plan.rename(base, old)
-                plan.rename(tmp, base)
-            else:
-                plan.rename(tmp, base)
+            plan.rename(tmp, base)
+        plan.fsync(base.parent)
     except OSError as exc:
         _recover_interrupted_save(base)  # undo a half-done swap
         shutil.rmtree(tmp, ignore_errors=True)
@@ -361,6 +367,25 @@ def _write_tree_v3(
         tmp / "catalog.json",
         json.dumps(manifest, indent=2).encode("utf-8"),
     )
+
+
+def _fsync_tree(tmp: Path, plan: NoFaults) -> None:
+    """fsync every file of the scratch tree, then its directories.
+
+    Subdirectories first and the scratch root last, so the whole new
+    state is on stable storage before the commit rename points at it.
+    Files are fsynced as a directory scan yields them, which holds no
+    per-file state however large the catalog.
+    """
+    directories = sorted(path for path in tmp.iterdir() if path.is_dir())
+    directories.append(tmp)
+    for directory in directories:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if entry.is_file():
+                    plan.fsync(Path(entry.path))
+    for directory in directories:
+        plan.fsync(directory)
 
 
 def has_committed_state(root: Union[str, Path]) -> bool:

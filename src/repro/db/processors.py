@@ -18,18 +18,58 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 from repro.color.histogram import ColorHistogram
+from repro.color.quantization import UniformQuantizer
 from repro.color.similarity import l1_distance, l1_lower_bound
 from repro.core.bounds import BoundsEngine
-from repro.core.query import QueryResult, QueryStats, RangeQuery
+from repro.core.query import QueryResult, QueryStats, RangeQuery, total_stats
 from repro.db.catalog import Catalog
+from repro.db.records import EditedImageRecord
 from repro.errors import QueryError
 from repro.images.raster import Image
 
 #: Instantiates an edited image id into a raster.
 Instantiator = Callable[[str], Image]
+
+
+def combine_results(
+    results: Sequence[QueryResult],
+    catalog: Catalog,
+    expand_to_bases: bool,
+) -> QueryResult:
+    """AND-compose per-constraint results; optionally add their bases.
+
+    Intersecting the conservative per-constraint sets keeps the
+    no-false-negative guarantee (see
+    :class:`repro.core.query.ConjunctiveQuery`).  ``expand_to_bases``
+    applies the §2 connection: a matching edited image's base joins the
+    result even if the base's own features do not match.
+    """
+    matches = set(results[0].matches).intersection(
+        *(result.matches for result in results[1:])
+    )
+    if expand_to_bases:
+        for image_id in tuple(matches):
+            record = catalog.record(image_id)
+            if isinstance(record, EditedImageRecord):
+                matches.add(record.base_id)
+    return QueryResult(frozenset(matches), total_stats(results))
+
+
+def query_histogram(
+    query: Union[Image, ColorHistogram], quantizer: UniformQuantizer
+) -> ColorHistogram:
+    """A similarity query as a histogram over ``quantizer``'s bins."""
+    histogram = (
+        ColorHistogram.of_image(query, quantizer)
+        if isinstance(query, Image)
+        else query
+    )
+    if histogram.quantizer != quantizer:
+        raise QueryError("query histogram uses a different quantizer")
+    return histogram
 
 
 class _MaxItem:

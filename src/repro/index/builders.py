@@ -105,6 +105,23 @@ def build_edited_bounds_index(
     return index
 
 
+def query_slab(bin_count: int, query: RangeQuery) -> MBR:
+    """A single-bin range query as a slab in histogram space.
+
+    The query's bin is held to ``[pct_min, pct_max]`` and every other
+    bin spans the whole fraction domain ``[0, 1]`` — §3.1's "sections of
+    the multidimensional data space".
+    """
+    return MBR.slab(
+        bin_count,
+        query.bin_index,
+        query.pct_min,
+        query.pct_max,
+        domain_lo=0.0,
+        domain_hi=1.0,
+    )
+
+
 def edited_range_candidates(
     index: IntervalIndex, bin_count: int, query: RangeQuery
 ) -> List[str]:
@@ -114,12 +131,4 @@ def edited_range_candidates(
     set of edited images RBM's per-image BOUNDS test would accept
     (property-tested against :class:`repro.core.rbm.RBMProcessor`).
     """
-    slab = MBR.slab(
-        bin_count,
-        query.bin_index,
-        query.pct_min,
-        query.pct_max,
-        domain_lo=0.0,
-        domain_hi=1.0,
-    )
-    return sorted(index.search(slab))  # type: ignore[arg-type]
+    return sorted(index.search(query_slab(bin_count, query)))  # type: ignore[arg-type]

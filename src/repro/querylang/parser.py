@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.color.names import color_by_name
+from repro.color.quantization import UniformQuantizer
+from repro.core.query import RangeQuery
 from repro.errors import ParseError
 
 _PREAMBLE = re.compile(
@@ -119,6 +121,20 @@ def parse_conjunctive_query(text: str) -> Tuple[ParsedQuery, ...]:
     constraints = tuple(_parse_constraint(part.strip(), text) for part in parts)
     _reject_empty_ranges(constraints, text)
     return constraints
+
+
+def parse_range_constraints(
+    text: str, quantizer: UniformQuantizer
+) -> Tuple[RangeQuery, ...]:
+    """Parse a (conjunctive) text query into range constraints.
+
+    Each parsed color maps to the bin of ``quantizer`` that holds it, so
+    the result is what the database and the query service execute.
+    """
+    return tuple(
+        RangeQuery(quantizer.bin_of(parsed.rgb), parsed.pct_min, parsed.pct_max)
+        for parsed in parse_conjunctive_query(text)
+    )
 
 
 def _reject_empty_ranges(constraints, original: str) -> None:

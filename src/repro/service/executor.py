@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import QueryResult, QueryStats, RangeQuery
-from repro.db.records import EditedImageRecord
+from repro.db.processors import combine_results
 from repro.errors import (
     LockTimeoutError,
     QueryTimeoutError,
@@ -53,13 +53,14 @@ from repro.index.builders import (
     build_binary_histogram_index,
     build_edited_bounds_index,
     edited_range_candidates,
+    query_slab,
 )
-from repro.index.mbr import MBR
 from repro.obs.attribution import AttributionReport, attribute_query
 from repro.obs.events import EventLog
 from repro.obs.prometheus import render_prometheus
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Span, Tracer, maybe_tracer
+from repro.querylang.parser import parse_range_constraints
 from repro.service.cache import ResultCache, cache_key
 from repro.service.metrics import MetricsRegistry
 from repro.service.planner import (
@@ -67,6 +68,7 @@ from repro.service.planner import (
     ExplainedPlan,
     PlanActuals,
     Strategy,
+    execute_strategy,
 )
 
 logger = logging.getLogger(__name__)
@@ -514,13 +516,7 @@ class QueryService:
     # ------------------------------------------------------------------
     def _normalize(self, query: QueryLike) -> Tuple[RangeQuery, ...]:
         if isinstance(query, str):
-            from repro.querylang.parser import parse_conjunctive_query
-
-            quantizer = self._database.quantizer
-            return tuple(
-                RangeQuery(quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
-                for p in parse_conjunctive_query(query)
-            )
+            return parse_range_constraints(query, self._database.quantizer)
         if isinstance(query, RangeQuery):
             constraints: Tuple[RangeQuery, ...] = (query,)
         else:
@@ -653,36 +649,12 @@ class QueryService:
             self._execute_one(constraint, plan)
             for constraint, plan in zip(constraints, plans)
         ]
-        return self._merge_results(results, expand_to_bases)
-
-    def _merge_results(
-        self, results: List[QueryResult], expand_to_bases: bool
-    ) -> QueryResult:
-        """AND-combine per-constraint results (and optionally add bases)."""
-        matches = set(results[0].matches)
-        stats = QueryStats()
-        for result in results:
-            stats.merge(result.stats)
-        for result in results[1:]:
-            matches &= result.matches
-        if expand_to_bases:
-            catalog = self._database.catalog
-            for image_id in tuple(matches):
-                record = catalog.record(image_id)
-                if isinstance(record, EditedImageRecord):
-                    matches.add(record.base_id)
-        return QueryResult(frozenset(matches), stats)
+        return combine_results(results, self._database.catalog, expand_to_bases)
 
     def _execute_one(self, query: RangeQuery, plan: ExplainedPlan) -> QueryResult:
-        if plan.strategy is Strategy.LINEAR_RBM:
-            return self._database.range_query(query, method="rbm")
-        if plan.strategy is Strategy.BWM:
-            return self._database.range_query(query, method="bwm")
-        if plan.strategy is Strategy.VECTORIZED_BATCH:
-            return self._database.range_query_batch([query], method="rbm")[0]
         if plan.strategy is Strategy.INDEX_ASSISTED:
             return self._execute_indexed(query)
-        raise ServiceError(f"unexecutable strategy {plan.strategy!r}")
+        return execute_strategy(self._database, query, plan.strategy)
 
     # ------------------------------------------------------------------
     # EXPLAIN / EXPLAIN ANALYZE
@@ -780,7 +752,9 @@ class QueryService:
                 results.append(result)
                 reports.append(report)
             with tracer.span("merge"):
-                merged = self._merge_results(results, expand_to_bases)
+                merged = combine_results(
+                    results, self._database.catalog, expand_to_bases
+                )
         root = tracer.finish()
         self.metrics.increment("explain_analyze_total")
         return AnalyzedQuery(
@@ -817,15 +791,7 @@ class QueryService:
         if not self._indexes_fresh:
             self.refresh_indexes()
         quantizer = self._database.quantizer
-        slab = MBR.slab(
-            quantizer.bin_count,
-            query.bin_index,
-            query.pct_min,
-            query.pct_max,
-            domain_lo=0.0,
-            domain_hi=1.0,
-        )
-        binary = self._point_index.search(slab)
+        binary = self._point_index.search(query_slab(quantizer.bin_count, query))
         edited = edited_range_candidates(
             self._interval_index, quantizer.bin_count, query
         )

@@ -37,11 +37,14 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.query import QueryStats, RangeQuery
+from repro.core.query import QueryResult, QueryStats, RangeQuery
 from repro.db.statistics import DatabaseStatistics
 from repro.errors import QueryError, ServiceError
+
+if TYPE_CHECKING:
+    from repro.db.database import MultimediaDatabase
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +56,26 @@ class Strategy(enum.Enum):
     BWM = "bwm"
     VECTORIZED_BATCH = "vectorized_batch"
     INDEX_ASSISTED = "index_assisted"
+
+
+#: The range-query method each single-call strategy runs.
+_RANGE_METHODS = {Strategy.LINEAR_RBM: "rbm", Strategy.BWM: "bwm"}
+
+
+def execute_strategy(
+    database: MultimediaDatabase, query: RangeQuery, strategy: Strategy
+) -> QueryResult:
+    """Answer ``query`` on ``database`` the way ``strategy`` prescribes.
+
+    :attr:`Strategy.INDEX_ASSISTED` is refused: it needs spatial indexes
+    the database does not keep, so the caller that maintains them runs it.
+    """
+    if strategy is Strategy.VECTORIZED_BATCH:
+        return database.range_query_batch([query], method="rbm")[0]
+    method = _RANGE_METHODS.get(strategy)
+    if method is None:
+        raise ServiceError(f"unexecutable strategy {strategy!r}")
+    return database.range_query(query, method=method)
 
 
 #: Deterministic tie-break order (earlier wins on equal cost): prefer the

@@ -29,14 +29,19 @@ the no-crash state (swept by ``tests/shard/test_wal_replay_faults.py``).
 
 Queries
 -------
-Scatter-gather: each query fans out across shards under their read
-locks (a small thread pool), and the per-shard results merge —
-set-union for range/conjunctive results, an ordered ``heapq.merge`` of
-the per-shard k-best lists for kNN (each shard's list is exact and
-sorted, so the first k of the merge are the global k-best, byte for
-byte what the single-catalog oracle returns).
-:meth:`planned_range_query` is the router-aware planner path: each
-shard plans independently over the strategies the router can dispatch.
+Every read method — range, batch, conjunctive, text, kNN, similarity
+range and planned range — is one call of a single scatter-gather path,
+:meth:`ShardedCatalog._query`.  A method supplies only its per-shard
+task, its merge and its work-unit measure; the path runs the task on
+every shard under that shard's read lock (a small thread pool), merges
+in shard order, and records the telemetry: one ``sharded_query`` trace
+with ``fanout``/``shard.execute``/``merge`` spans, per-shard histograms,
+one recent-ring entry and one ``query`` event.  Range-style results
+merge by set union; kNN and similarity range share one ordered merge of
+the per-shard neighbor lists (each shard's list is exact and sorted, so
+the first k of the merge are the global k-best, byte for byte what the
+single-catalog oracle returns).  :meth:`planned_range_query` lets each
+shard plan independently over the strategies the router can dispatch.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -71,7 +77,13 @@ import numpy as np
 from repro.color.histogram import ColorHistogram
 from repro.color.quantization import UniformQuantizer
 from repro.core.bounds import AllBinsBounds
-from repro.core.query import ConjunctiveQuery, QueryResult, QueryStats, RangeQuery
+from repro.core.query import (
+    ConjunctiveQuery,
+    QueryResult,
+    QueryStats,
+    RangeQuery,
+    total_stats,
+)
 from repro.db.database import MultimediaDatabase
 from repro.db.persistence import (
     SHARD_MANIFEST_NAME,
@@ -79,7 +91,7 @@ from repro.db.persistence import (
     load_database,
     save_database,
 )
-from repro.db.processors import KNNResult, KNNStats
+from repro.db.processors import KNNResult, KNNStats, query_histogram
 from repro.db.versioning import sha256_hex
 from repro.editing.sequence import EditSequence
 from repro.errors import (
@@ -103,9 +115,10 @@ from repro.obs.trace import (
     new_trace_id,
     tracing_enabled,
 )
+from repro.querylang.parser import parse_range_constraints
 from repro.service.executor import ReadWriteLock
 from repro.service.metrics import MetricsRegistry
-from repro.service.planner import CostBasedPlanner, Strategy
+from repro.service.planner import CostBasedPlanner, Strategy, execute_strategy
 from repro.shard.wal import ShardWAL
 from repro.testing.faults import NoFaults
 
@@ -121,6 +134,7 @@ ROUTER_STRATEGIES: Tuple[Strategy, ...] = (
 )
 
 _T = TypeVar("_T")
+_M = TypeVar("_M")
 
 
 def hash_shard(image_id: str, shard_count: int) -> int:
@@ -137,6 +151,21 @@ def hash_shard(image_id: str, shard_count: int) -> int:
 def shard_dirname(index: int) -> str:
     """Directory name of one shard's segment root under the base root."""
     return f"shard-{index:03d}"
+
+
+def _work_units(stats: QueryStats) -> float:
+    """The paper's §5 work units behind a shard's answer."""
+    return float(stats.histograms_checked + stats.rules_applied)
+
+
+def _match_count(merged: object) -> int:
+    """Answers in a merged result: neighbors, matches, or a batch's sum."""
+    if isinstance(merged, KNNResult):
+        return len(merged.neighbors)
+    if isinstance(merged, list):
+        return sum(len(result) for result in merged)
+    assert isinstance(merged, QueryResult)
+    return len(merged)
 
 
 class _Shard:
@@ -824,56 +853,50 @@ class ShardedCatalog:
             timings.append((shard.index, lock_wait, total))
         return results, timings
 
-    @staticmethod
-    def _merge_results(results: Sequence[QueryResult]) -> QueryResult:
-        matches: Set[str] = set()
-        stats = QueryStats()
-        for result in results:
-            matches |= result.matches
-            stats.merge(result.stats)
-        return QueryResult(frozenset(matches), stats)
-
-    @staticmethod
-    def _result_work_units(result: QueryResult) -> float:
-        """The paper's §5 work units one shard spent on one result."""
-        return float(
-            result.stats.histograms_checked + result.stats.rules_applied
-        )
-
-    def _finish_query(
+    def _query(
         self,
-        tracer,
         kind: str,
-        started: float,
-        timings: Sequence[Tuple[int, float, float]],
-        per_shard_work: Sequence[float],
-        matches: int,
-    ) -> None:
-        """Close one scatter-gather query's telemetry.
+        task: Callable[[_Shard], _T],
+        merge: Callable[[List[_T]], _M],
+        work_units: Callable[[_T], float],
+    ) -> _M:
+        """The router's one scatter-gather path; every read method calls it.
 
-        Observes per-shard work-unit histograms and the router latency,
-        folds the trace (when live) into span counters, records the
-        query in the recent ring, and emits one wide ``query`` event —
-        the joinable record that ties the query's trace id to its cost.
+        ``task`` runs on each shard under its read lock (:meth:`_scatter`,
+        inside the ``fanout`` span) and ``merge`` combines the results in
+        shard order (inside the ``merge`` span).  Then the telemetry
+        closes: per-shard ``work_units`` histograms, the router latency,
+        span counters (when traced), one recent-ring entry, and one wide
+        ``query`` event — the record that ties the trace id to the cost.
         """
+        started = time.perf_counter()
+        tracer = maybe_tracer("sharded_query")
+        tracer.root.set("kind", kind)
+        with tracer.span("fanout", shards=len(self._shards)):
+            results, timings = self._scatter(task, tracer=tracer)
+        with tracer.span("merge"):
+            merged = merge(results)
         elapsed = time.perf_counter() - started
-        for (index, _lock_wait, _total), work in zip(timings, per_shard_work):
-            self.metrics.observe(f"shard_work_units.s{index:02d}", work)
+        work = 0.0
+        for (index, _lock_wait, _total), result in zip(timings, results):
+            shard_work = work_units(result)
+            work += shard_work
+            self.metrics.observe(f"shard_work_units.s{index:02d}", shard_work)
         self.metrics.increment("shard.queries")
         self.metrics.observe("sharded_query_seconds", elapsed)
         trace_id = tracer.trace_id
         if tracer:
-            root = tracer.finish()
-            for span in root.iter_spans():
+            for span in tracer.finish().iter_spans():
                 self.metrics.increment(f"spans.{span.name}")
         slowest = (
             max(timings, key=lambda timing: timing[2])[0] if timings else None
         )
+        matches = _match_count(merged)
         entry: Dict[str, object] = {
             "ts": time.time(),
             "kind": kind,
             "seconds": elapsed,
-            "work_units": float(sum(per_shard_work)),
+            "work_units": work,
             "matches": matches,
             "trace_id": trace_id,
             "slowest_shard": slowest,
@@ -891,9 +914,39 @@ class ShardedCatalog:
             trace_id=trace_id,
             query_kind=kind,
             seconds=round(elapsed, 6),
-            work_units=float(sum(per_shard_work)),
+            work_units=work,
             matches=matches,
         )
+        return merged
+
+    @staticmethod
+    def _merge_results(results: Sequence[QueryResult]) -> QueryResult:
+        """Union of per-shard results (shards partition the id space)."""
+        matches: FrozenSet[str] = frozenset().union(
+            *(result.matches for result in results)
+        )
+        return QueryResult(matches, total_stats(results))
+
+    @staticmethod
+    def _merge_neighbors(
+        results: Sequence[KNNResult], k: Optional[int] = None
+    ) -> KNNResult:
+        """Ordered merge of per-shard neighbor lists, cut to the first ``k``.
+
+        Each shard's list is exact and ascending by ``(distance, id)``,
+        so the first ``k`` of the merge are the global k-best — byte for
+        byte the single-catalog answer, because no excluded local
+        candidate can outrank an included one.  ``k=None`` keeps all.
+        """
+        neighbors = tuple(
+            islice(heap_merge(*(result.neighbors for result in results)), k)
+        )
+        stats = KNNStats()
+        for result in results:
+            stats.candidates_considered += result.stats.candidates_considered
+            stats.edited_pruned += result.stats.edited_pruned
+            stats.edited_instantiated += result.stats.edited_instantiated
+        return KNNResult(neighbors, stats)
 
     def range_query(
         self,
@@ -902,61 +955,30 @@ class ShardedCatalog:
         expand_to_bases: bool = False,
     ) -> QueryResult:
         """Fan a range query across shards; union of shard results."""
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "range_query")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.range_query(
-                    query, method=method, expand_to_bases=expand_to_bases
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            merged = self._merge_results(results)
-        self._finish_query(
-            tracer,
+        return self._query(
             "range_query",
-            started,
-            timings,
-            [self._result_work_units(result) for result in results],
-            len(merged.matches),
+            lambda shard: shard.database.range_query(
+                query, method=method, expand_to_bases=expand_to_bases
+            ),
+            self._merge_results,
+            lambda result: _work_units(result.stats),
         )
-        return merged
 
     def range_query_batch(
         self, queries: Sequence[RangeQuery], method: str = "bwm"
     ) -> List[QueryResult]:
         """Fan a query batch across shards; element-wise union."""
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "range_query_batch")
-        with tracer.span("fanout", shards=len(self._shards)):
-            per_shard, timings = self._scatter(
-                lambda shard: shard.database.range_query_batch(
-                    queries, method=method
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            merged = [
-                self._merge_results(
-                    [shard_results[i] for shard_results in per_shard]
-                )
-                for i in range(len(queries))
-            ]
-        self._finish_query(
-            tracer,
+        return self._query(
             "range_query_batch",
-            started,
-            timings,
-            [
-                sum(self._result_work_units(result) for result in shard_results)
-                for shard_results in per_shard
+            lambda shard: shard.database.range_query_batch(
+                queries, method=method
+            ),
+            lambda per_shard: [
+                self._merge_results(list(position))
+                for position in zip(*per_shard)
             ],
-            sum(len(result.matches) for result in merged),
+            lambda shard_results: _work_units(total_stats(shard_results)),
         )
-        return merged
 
     def conjunctive_query(
         self,
@@ -969,27 +991,14 @@ class ShardedCatalog:
         Correct because shards partition the id space: the global
         intersection distributes over the disjoint per-shard unions.
         """
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "conjunctive_query")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.conjunctive_query(
-                    query, method=method, expand_to_bases=expand_to_bases
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            merged = self._merge_results(results)
-        self._finish_query(
-            tracer,
+        return self._query(
             "conjunctive_query",
-            started,
-            timings,
-            [self._result_work_units(result) for result in results],
-            len(merged.matches),
+            lambda shard: shard.database.conjunctive_query(
+                query, method=method, expand_to_bases=expand_to_bases
+            ),
+            self._merge_results,
+            lambda result: _work_units(result.stats),
         )
-        return merged
 
     def text_query(
         self,
@@ -998,13 +1007,7 @@ class ShardedCatalog:
         expand_to_bases: bool = False,
     ) -> QueryResult:
         """Parse once at the router, then fan out like the database does."""
-        from repro.querylang.parser import parse_conjunctive_query
-
-        parsed = parse_conjunctive_query(text)
-        constraints = tuple(
-            RangeQuery(self.quantizer.bin_of(p.rgb), p.pct_min, p.pct_max)
-            for p in parsed
-        )
+        constraints = parse_range_constraints(text, self.quantizer)
         if len(constraints) == 1:
             return self.range_query(
                 constraints[0], method=method, expand_to_bases=expand_to_bases
@@ -1021,88 +1024,28 @@ class ShardedCatalog:
         k: int,
         method: str = "bounded",
     ) -> KNNResult:
-        """Global k nearest neighbors: ordered merge of shard k-bests.
-
-        Each shard returns its exact local k-best ascending by
-        ``(distance, id)``; the global k-best is the first k of their
-        ordered merge — identical to the single-catalog result because
-        no excluded local candidate can outrank an included one.
-        """
+        """Global k nearest neighbors: ordered merge of shard k-bests."""
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
-        histogram = (
-            ColorHistogram.of_image(query, self.quantizer)
-            if isinstance(query, Image)
-            else query
-        )
-        if histogram.quantizer != self.quantizer:
-            raise QueryError("query histogram uses a different quantizer")
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "knn")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.knn(histogram, k, method=method),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            neighbors = tuple(
-                islice(heap_merge(*(result.neighbors for result in results)), k)
-            )
-            stats = KNNStats()
-            for result in results:
-                stats.candidates_considered += result.stats.candidates_considered
-                stats.edited_pruned += result.stats.edited_pruned
-                stats.edited_instantiated += result.stats.edited_instantiated
-        self._finish_query(
-            tracer,
+        histogram = query_histogram(query, self.quantizer)
+        return self._query(
             "knn",
-            started,
-            timings,
-            [float(result.stats.candidates_considered) for result in results],
-            len(neighbors),
+            lambda shard: shard.database.knn(histogram, k, method=method),
+            lambda results: self._merge_neighbors(results, k),
+            lambda result: float(result.stats.candidates_considered),
         )
-        return KNNResult(neighbors, stats)
 
     def similarity_range(
         self, query: Union[Image, ColorHistogram], epsilon: float
     ) -> KNNResult:
         """All images within L1 distance ``epsilon``: ordered shard merge."""
-        histogram = (
-            ColorHistogram.of_image(query, self.quantizer)
-            if isinstance(query, Image)
-            else query
-        )
-        if histogram.quantizer != self.quantizer:
-            raise QueryError("query histogram uses a different quantizer")
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "similarity_range")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(
-                lambda shard: shard.database.similarity_range(
-                    histogram, epsilon
-                ),
-                tracer=tracer,
-            )
-        with tracer.span("merge"):
-            neighbors = tuple(
-                heap_merge(*(result.neighbors for result in results))
-            )
-            stats = KNNStats()
-            for result in results:
-                stats.candidates_considered += result.stats.candidates_considered
-                stats.edited_pruned += result.stats.edited_pruned
-                stats.edited_instantiated += result.stats.edited_instantiated
-        self._finish_query(
-            tracer,
+        histogram = query_histogram(query, self.quantizer)
+        return self._query(
             "similarity_range",
-            started,
-            timings,
-            [float(result.stats.candidates_considered) for result in results],
-            len(neighbors),
+            lambda shard: shard.database.similarity_range(histogram, epsilon),
+            self._merge_neighbors,
+            lambda result: float(result.stats.candidates_considered),
         )
-        return KNNResult(neighbors, stats)
 
     def planned_range_query(self, query: RangeQuery) -> QueryResult:
         """Router-aware planning: each shard picks its own strategy.
@@ -1118,27 +1061,14 @@ class ShardedCatalog:
             assert planner is not None
             plan = planner.plan(query, strategies=ROUTER_STRATEGIES)
             self.metrics.increment(f"plans.{plan.strategy.value}")
-            if plan.strategy is Strategy.VECTORIZED_BATCH:
-                return shard.database.range_query_batch([query], method="rbm")[0]
-            method = "rbm" if plan.strategy is Strategy.LINEAR_RBM else "bwm"
-            return shard.database.range_query(query, method=method)
+            return execute_strategy(shard.database, query, plan.strategy)
 
-        started = time.perf_counter()
-        tracer = maybe_tracer("sharded_query")
-        tracer.root.set("kind", "planned_range_query")
-        with tracer.span("fanout", shards=len(self._shards)):
-            results, timings = self._scatter(run, tracer=tracer)
-        with tracer.span("merge"):
-            merged = self._merge_results(results)
-        self._finish_query(
-            tracer,
+        return self._query(
             "planned_range_query",
-            started,
-            timings,
-            [self._result_work_units(result) for result in results],
-            len(merged.matches),
+            run,
+            self._merge_results,
+            lambda result: _work_units(result.stats),
         )
-        return merged
 
     # ------------------------------------------------------------------
     # Object access
@@ -1173,8 +1103,9 @@ class ShardedCatalog:
         """Checkpoint every shard and truncate the WAL.
 
         Each shard saves through the normal atomic tmp+rename path into
-        its own segment root, the manifest is rewritten, and only then
-        is the WAL reset.  A crash anywhere leaves the tree loadable:
+        its own segment root (fsynced before and after the commit
+        rename), the manifest is rewritten, and only then is the WAL
+        reset.  A crash anywhere leaves the tree loadable:
         un-checkpointed shards replay the WAL's records idempotently on
         the next :meth:`open`.
         """

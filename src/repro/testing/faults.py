@@ -75,10 +75,12 @@ class WriteEvent:
 class NoFaults:
     """The production plan: every side effect succeeds.
 
-    ``fsync`` is deliberately a real fsync: the migration journal's
-    durability claims rest on it.  Plans that cannot fsync a path (e.g.
-    a directory on a filesystem that refuses it) degrade silently, which
-    matches what production code does with best-effort directory syncs.
+    ``fsync`` is deliberately a real fsync: the migration journal's, the
+    WAL's and the save's durability claims rest on it.  A file that
+    cannot be synced raises the ``OSError`` (an unsynced file must not
+    be reported durable); a directory that cannot be opened or synced
+    (some filesystems refuse it) degrades silently, which matches what
+    production code does with best-effort directory syncs.
     """
 
     def write_bytes(self, path: Path, payload: bytes) -> None:
@@ -95,11 +97,14 @@ class NoFaults:
         try:
             fd = os.open(path, os.O_RDONLY)
         except OSError:
-            return
+            if os.path.isdir(path):
+                return
+            raise
         try:
             os.fsync(fd)
         except OSError:
-            pass
+            if not os.path.isdir(path):
+                raise
         finally:
             os.close(fd)
 

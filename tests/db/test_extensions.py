@@ -34,11 +34,22 @@ class TestConjunctiveQueries:
     def test_intersection_semantics(self, database):
         a = RangeQuery.at_least(0, 0.1)
         b = RangeQuery.at_most(5, 0.4)
-        combined = database.conjunctive_query(ConjunctiveQuery((a, b)))
-        expected = (
-            database.range_query(a).matches & database.range_query(b).matches
-        )
-        assert combined.matches == expected
+        for method in ("bwm", "instantiate"):
+            combined = database.conjunctive_query(
+                ConjunctiveQuery((a, b)), method=method
+            )
+            expected = (
+                database.range_query(a, method=method).matches
+                & database.range_query(b, method=method).matches
+            )
+            assert combined.matches == expected
+            if method == "instantiate":
+                # One exact pass per constraint, each counted.
+                assert combined.stats.histograms_checked == 2 * len(database)
+            else:
+                # One shared batch pass, counted once.
+                batch = database.range_query_batch([a, b], method=method)
+                assert combined.stats == batch[0].stats
 
     def test_no_false_negatives_against_exact(self, database):
         a = RangeQuery.at_least(0, 0.1)

@@ -9,7 +9,10 @@ crashes after the commit point — the new one) or raises a clean
 salvaged database passes :func:`verify_integrity`.
 """
 
+import errno
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -54,18 +57,27 @@ class TestFaultPlans:
         counter = CountingFaults()
         save_database(database, tmp_path / "db", faults=counter)
         kinds = [event.kind for event in counter.events]
-        # One write per content file, one for the manifest, one commit
-        # rename (fresh directory).
+        # One write per content file and one for the manifest, an fsync
+        # of each of those files, then of the three scratch directories
+        # (binary/, edited/, the root), one commit rename (fresh
+        # directory), and an fsync of the parent directory.
         files = database.catalog.binary_count + database.catalog.edited_count
-        assert kinds == ["write"] * (files + 1) + ["rename"]
-        assert counter.writes == files + 2
+        assert kinds == (
+            ["write"] * (files + 1)
+            + ["fsync"] * (files + 1 + 3)
+            + ["rename", "fsync"]
+        )
+        assert counter.writes == 2 * (files + 1) + 3 + 2
+        assert counter.events[-1].path == tmp_path
 
     def test_resave_adds_backup_rename(self, tmp_path):
         database = _make_database(7)
         save_database(database, tmp_path / "db")
         counter = CountingFaults()
         save_database(database, tmp_path / "db", faults=counter)
-        assert [e.kind for e in counter.events[-2:]] == ["rename", "rename"]
+        assert [e.kind for e in counter.events[-3:]] == [
+            "rename", "rename", "fsync",
+        ]
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -166,8 +178,12 @@ class TestKillPointSweep:
         previous, upcoming = states
         root = tmp_path / "resume"
         save_database(previous, root)
-        boundaries = self._boundaries(states, tmp_path / "resume-count")
-        plan = FaultPlan(fail_at=boundaries - 1, mode="after")  # first rename
+        count_root = tmp_path / "resume-count"
+        save_database(previous, count_root)
+        counter = CountingFaults()
+        save_database(upcoming, count_root, faults=counter)
+        first_rename = next(e.index for e in counter.events if e.kind == "rename")
+        plan = FaultPlan(fail_at=first_rename, mode="after")
         with pytest.raises(InjectedCrash):
             save_database(upcoming, root, faults=plan)
         assert not root.exists()  # crashed between the two commit renames
@@ -329,6 +345,44 @@ class TestErrorPlan:
             save_database(database, tmp_path / "db", faults=plan)
         assert not isinstance(excinfo.value, OSError)
         assert isinstance(excinfo.value.__cause__, OSError)
+
+
+def _fail_fsync_on(monkeypatch, file_kind):
+    """Make ``os.fsync`` raise a real EIO for descriptors of one kind."""
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if file_kind(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "fsync failed")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestProductionPlanFsync:
+    """The default plan's fsync: a file error propagates, a directory's
+    is best effort."""
+
+    def test_file_fsync_error_aborts_save(self, tmp_path, monkeypatch):
+        previous = _make_database(45)
+        upcoming = _make_database(46)
+        root = tmp_path / "db"
+        save_database(previous, root)
+        _fail_fsync_on(monkeypatch, stat.S_ISREG)
+        with pytest.raises(PersistenceError, match="before commit") as excinfo:
+            save_database(upcoming, root)
+        assert isinstance(excinfo.value.__cause__, OSError)
+        monkeypatch.undo()
+        assert _fingerprint(load_database(root)) == _fingerprint(previous)
+        assert not root.with_name(root.name + ".saving").exists()
+
+    def test_directory_fsync_error_is_tolerated(self, tmp_path, monkeypatch):
+        database = _make_database(47)
+        root = tmp_path / "db"
+        _fail_fsync_on(monkeypatch, stat.S_ISDIR)
+        save_database(database, root)
+        monkeypatch.undo()
+        assert _fingerprint(load_database(root)) == _fingerprint(database)
 
 
 def test_injected_crash_is_not_a_repro_error(tmp_path):

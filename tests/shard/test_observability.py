@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.query import RangeQuery
+from repro.core.query import ConjunctiveQuery, RangeQuery
 from repro.errors import DatabaseError
 from repro.obs import (
     HealthMonitor,
@@ -43,8 +43,59 @@ def _span_names(span):
         yield from _span_names(child)
 
 
+_WIDE = RangeQuery(0, 0.1, 0.9)
+_NARROW = RangeQuery(1, 0.0, 0.5)
+
+#: Every ShardedCatalog read method, with the ``kind`` its root records
+#: (a two-constraint text query runs as a conjunctive query).
+READ_METHODS = [
+    pytest.param(
+        lambda sharded, rng: sharded.range_query(_WIDE),
+        "range_query",
+        id="range_query",
+    ),
+    pytest.param(
+        lambda sharded, rng: sharded.range_query_batch([_WIDE, _NARROW]),
+        "range_query_batch",
+        id="range_query_batch",
+    ),
+    pytest.param(
+        lambda sharded, rng: sharded.conjunctive_query(
+            ConjunctiveQuery((_WIDE, _NARROW))
+        ),
+        "conjunctive_query",
+        id="conjunctive_query",
+    ),
+    pytest.param(
+        lambda sharded, rng: sharded.text_query(
+            "at least 10% red and at most 80% white"
+        ),
+        "conjunctive_query",
+        id="text_query",
+    ),
+    pytest.param(
+        lambda sharded, rng: sharded.knn(random_image(rng), 3),
+        "knn",
+        id="knn",
+    ),
+    pytest.param(
+        lambda sharded, rng: sharded.similarity_range(random_image(rng), 0.8),
+        "similarity_range",
+        id="similarity_range",
+    ),
+    pytest.param(
+        lambda sharded, rng: sharded.planned_range_query(_WIDE),
+        "planned_range_query",
+        id="planned_range_query",
+    ),
+]
+
+
 class TestConnectedTraces:
-    def test_scatter_gather_query_produces_one_connected_trace(self, rng):
+    @pytest.mark.parametrize("ask, kind", READ_METHODS)
+    def test_scatter_gather_query_produces_one_connected_trace(
+        self, rng, ask, kind
+    ):
         sharded, _, _ = build_mirrored_pair(rng, shard_count=3)
         collected = []
         with tracing():
@@ -58,18 +109,17 @@ class TestConnectedTraces:
 
             Tracer.finish = capture
             try:
-                sharded.range_query(RangeQuery(0, 0.1, 0.9))
+                ask(sharded, rng)
             finally:
                 Tracer.finish = original_finish
         sharded.close()
         assert len(collected) == 1
         root = collected[0]
         assert root.name == "sharded_query"
-        assert root.attributes["kind"] == "range_query"
+        assert root.attributes["kind"] == kind
         assert str(root.attributes["trace_id"]).startswith("trace-")
         names = list(_span_names(root))
-        assert "fanout" in names
-        assert "merge" in names
+        assert [child.name for child in root.children] == ["fanout", "merge"]
         assert names.count("shard.execute") == 3
         fanout = next(c for c in root.children if c.name == "fanout")
         executes = [
@@ -274,21 +324,30 @@ class TestEventTimeline:
 
 
 class TestRecentQueriesRing:
-    def test_ring_records_each_query_kind_with_work_units(self, rng):
+    @pytest.mark.parametrize("ask, kind", READ_METHODS)
+    def test_ring_records_each_query_kind_with_work_units(self, rng, ask, kind):
         sharded, _, _ = build_mirrored_pair(rng, shard_count=2)
         try:
-            query = RangeQuery(0, 0.1, 0.9)
-            sharded.range_query(query)
-            sharded.knn(random_image(rng), 3)
+            ask(sharded, rng)
             recent = sharded.recent_queries()
-            assert [entry["kind"] for entry in recent] == [
-                "range_query", "knn",
+            assert [entry["kind"] for entry in recent] == [kind]
+            entry = recent[0]
+            assert entry["work_units"] > 0
+            assert entry["slowest_shard"] in (0, 1)
+            assert set(entry["shard_seconds"]) == {"s00", "s01"}
+            events = sharded.events.snapshot(kind="query")
+            assert [event.detail["query_kind"] for event in events] == [kind]
+            assert events[0].trace_id == entry["trace_id"]
+            # The ring keeps queries oldest-first and truncates to the
+            # most recent ``count``.
+            sharded.range_query(_WIDE)
+            sharded.knn(random_image(rng), 3)
+            assert [entry["kind"] for entry in sharded.recent_queries()] == [
+                kind, "range_query", "knn",
             ]
-            for entry in recent:
-                assert entry["work_units"] > 0
-                assert entry["slowest_shard"] in (0, 1)
-                assert set(entry["shard_seconds"]) == {"s00", "s01"}
-            assert len(sharded.recent_queries(count=1)) == 1
+            assert [
+                entry["kind"] for entry in sharded.recent_queries(count=1)
+            ] == ["knn"]
         finally:
             sharded.close()
 

@@ -3,6 +3,9 @@ invariants, WAL dedupe, and shard-aware persistence."""
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 import threading
 
 import numpy as np
@@ -341,6 +344,35 @@ class TestPersistence:
         try:
             assert sorted(reopened.ids()) == sorted(oracle.ids())
             assert [s.version for s in reopened._shards] == versions
+            _assert_full_parity(reopened, oracle, rng)
+        finally:
+            reopened.close()
+
+    def test_failed_checkpoint_fsync_keeps_the_wal(
+        self, rng, tmp_path, monkeypatch
+    ):
+        """A segment file that cannot be fsynced must not cost the WAL."""
+        sharded, oracle, _ = build_mirrored_pair(rng, root=tmp_path)
+        try:
+            logged = sharded._wal.entries()
+            assert logged
+            real_fsync = os.fsync
+
+            def fsync(fd):
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    raise OSError(errno.EIO, "fsync failed")
+                real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", fsync)
+            with pytest.raises(PersistenceError):
+                sharded.save()
+            monkeypatch.undo()
+            assert sharded._wal.entries() == logged
+        finally:
+            sharded.close()
+        reopened = ShardedCatalog.open(tmp_path)
+        try:
+            assert reopened.metrics.counter("wal.replayed") == len(logged)
             _assert_full_parity(reopened, oracle, rng)
         finally:
             reopened.close()
